@@ -63,6 +63,15 @@ func benchSetup(b *testing.B) (*core.Study, *core.Results) {
 	return benchStudy, benchResults
 }
 
+// runAggregator drives one §4 journal aggregator over the shared
+// study's journal in one pass.
+func runAggregator(b *testing.B, s *core.Study, res *core.Results, camps []analysis.Campaign, agg analysis.Aggregator) {
+	b.Helper()
+	if err := analysis.RunPass(s.Store().Journal(), camps, res.Baseline, 0, agg); err != nil {
+		b.Fatal(err)
+	}
+}
+
 func analysisCampaigns(res *core.Results) []analysis.Campaign {
 	out := make([]analysis.Campaign, 0, len(res.Campaigns))
 	for _, c := range res.Campaigns {
@@ -96,11 +105,9 @@ func BenchmarkFigure1Geolocation(b *testing.B) {
 	b.ResetTimer()
 	var rows []analysis.GeoRow
 	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = analysis.LocationBreakdown(s.Store(), camps)
-		if err != nil {
-			b.Fatal(err)
-		}
+		geo := analysis.NewGeoAggregator(s.Store(), camps)
+		runAggregator(b, s, res, camps, geo)
+		rows = geo.Rows()
 	}
 	b.StopTimer()
 	if len(rows) == 0 {
@@ -117,11 +124,9 @@ func BenchmarkTable2Demographics(b *testing.B) {
 	b.ResetTimer()
 	var rows []analysis.DemoRow
 	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = analysis.Demographics(s.Store(), camps)
-		if err != nil {
-			b.Fatal(err)
-		}
+		demo := analysis.NewDemoAggregator(s.Store(), camps)
+		runAggregator(b, s, res, camps, demo)
+		rows = demo.Rows()
 	}
 	b.StopTimer()
 	if len(rows) == 0 {
@@ -199,11 +204,9 @@ func BenchmarkFigure4PageLikeCDF(b *testing.B) {
 	b.ResetTimer()
 	var cdfs []analysis.PageLikeCDF
 	for i := 0; i < b.N; i++ {
-		var err error
-		cdfs, err = analysis.PageLikeCDFs(s.Store(), camps, res.Baseline)
-		if err != nil {
-			b.Fatal(err)
-		}
+		cdf := analysis.NewPageLikeCDFAggregator(camps, res.Baseline)
+		runAggregator(b, s, res, camps, cdf)
+		cdfs = cdf.Rows()
 	}
 	b.StopTimer()
 	if len(cdfs) == 0 {
@@ -220,11 +223,9 @@ func BenchmarkFigure5Jaccard(b *testing.B) {
 	b.ResetTimer()
 	var pageSim [][]float64
 	for i := 0; i < b.N; i++ {
-		var err error
-		pageSim, _, err = analysis.JaccardMatrices(s.Store(), camps)
-		if err != nil {
-			b.Fatal(err)
-		}
+		jac := analysis.NewJaccardAggregator(camps)
+		runAggregator(b, s, res, camps, jac)
+		pageSim, _ = jac.Matrices()
 	}
 	b.StopTimer()
 	if len(pageSim) != len(camps) {
@@ -235,8 +236,8 @@ func BenchmarkFigure5Jaccard(b *testing.B) {
 
 // benchFullStudy runs the complete end-to-end pipeline — world build,
 // 13 campaigns, monitoring, sweep, all analyses — at 1/10 scale with
-// the given worker-pool size and analysis engine.
-func benchFullStudy(b *testing.B, workers int, analyses string) {
+// the given worker-pool size.
+func benchFullStudy(b *testing.B, workers int) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
 		cfg, err := core.ScaledConfig(int64(i)+1, 0.1)
@@ -244,7 +245,6 @@ func benchFullStudy(b *testing.B, workers int, analyses string) {
 			b.Fatal(err)
 		}
 		cfg.Workers = workers
-		cfg.Analyses = analyses
 		s, err := core.NewStudy(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -256,20 +256,14 @@ func benchFullStudy(b *testing.B, workers int, analyses string) {
 }
 
 // BenchmarkFullStudy measures the parallel engine at its default width
-// (Workers = GOMAXPROCS) with the one-pass streaming analysis phase.
-// Compare against BenchmarkFullStudySerial for the pool speedup and
-// BenchmarkFullStudyMultiScan for the one-pass win; the determinism
-// tests prove all of them produce identical output for a fixed seed.
-func BenchmarkFullStudy(b *testing.B) { benchFullStudy(b, 0, core.AnalysisOnePass) }
+// (Workers = GOMAXPROCS). Compare against BenchmarkFullStudySerial for
+// the pool speedup; the determinism tests prove both produce identical
+// output for a fixed seed.
+func BenchmarkFullStudy(b *testing.B) { benchFullStudy(b, 0) }
 
 // BenchmarkFullStudySerial is the same pipeline pinned to one worker —
 // the serial baseline for the parallel engine.
-func BenchmarkFullStudySerial(b *testing.B) { benchFullStudy(b, 1, core.AnalysisOnePass) }
-
-// BenchmarkFullStudyMultiScan is the same pipeline with the legacy
-// analysis engine (one full store scan per §4 analysis) — the baseline
-// the journal-backed one-pass phase is measured against.
-func BenchmarkFullStudyMultiScan(b *testing.B) { benchFullStudy(b, 0, core.AnalysisMultiScan) }
+func BenchmarkFullStudySerial(b *testing.B) { benchFullStudy(b, 1) }
 
 // BenchmarkSweepGrid measures the scenario-grid runner: a 4-variant
 // budget×population grid of small studies executed concurrently.
@@ -753,45 +747,6 @@ func BenchmarkAnalysisOnePass(b *testing.B) {
 			geo, demo, win, cdf, jac, rem)
 		if err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAnalysisMultiScan measures the legacy analysis phase: one
-// full store scan per analysis (the baseline BenchmarkAnalysisOnePass
-// replaces). Note this bench flatters the legacy path: repeated
-// iterations reuse the store's lazy per-user sort caches, which a real
-// run pays for cold — the end-to-end comparison (BenchmarkFullStudy vs
-// BenchmarkFullStudyMultiScan) is the honest one, and there the
-// one-pass engine wins.
-func BenchmarkAnalysisMultiScan(b *testing.B) {
-	s, res := benchSetup(b)
-	st := s.Store()
-	camps := analysisCampaigns(res)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := analysis.LocationBreakdown(st, camps); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := analysis.Demographics(st, camps); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := analysis.PageLikeCDFs(st, camps, res.Baseline); err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := analysis.JaccardMatrices(st, camps); err != nil {
-			b.Fatal(err)
-		}
-		for _, c := range camps {
-			likes := st.LikesOfPage(c.Page)
-			times := make([]time.Time, len(likes))
-			for j, lk := range likes {
-				times[j] = lk.At
-			}
-			if _, err := analysis.WindowAnalysis(c.ID, times); err != nil {
-				b.Fatal(err)
-			}
-			_ = st.LikeCountOfPage(c.Page) - st.ActiveLikeCountOfPage(c.Page)
 		}
 	}
 }

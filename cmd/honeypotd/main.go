@@ -7,12 +7,14 @@
 //	honeypotd [-addr :8080] [-seed N] [-scale 0.25] [-workers W] [-token secret]
 //	          [-data-dir DIR] [-sync-every N] [-rps R] [-client-rps R] [-max-conns N]
 //
-// Endpoints: /api/page/{id}, /api/page/{id}/likes (GET paged, POST
-// inject with X-Admin-Token), /api/user/{id}, /api/user/{id}/friends,
-// /api/user/{id}/likes, /api/directory, /api/admin/report/{id}
-// (X-Admin-Token), /api/healthz, and the live fraud-scoring surface
-// /api/fraud, /api/page/{id}/fraud, /api/user/{id}/fraud (all
-// X-Admin-Token; backed by the streaming detector's journal cursor).
+// Endpoints: /api/page/{id}, /api/page/{id}/likes (GET paged by
+// cursor=/limit=, POST inject with X-Admin-Token), /api/user/{id},
+// /api/user/{id}/friends and /api/user/{id}/likes (cursor-paged; an
+// offset= is rejected with 400), /api/directory (offset-paged),
+// /api/admin/report/{id} (X-Admin-Token), /api/healthz, and the live
+// fraud-scoring surface /api/fraud, /api/page/{id}/fraud,
+// /api/user/{id}/fraud (all X-Admin-Token; backed by the streaming
+// detector's journal cursor).
 //
 // With -data-dir the world is durable: the first start builds it,
 // checkpoints it into the directory, and serves the reopened copy;

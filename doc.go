@@ -7,8 +7,9 @@
 // rebuilt in internal packages: a social-network world (socialnet), the
 // platform's ad engine / reports tool / fraud sweep (platform), the farm
 // operator models (farm, accounts), the honeypot monitor (honeypot), the
-// HTTP crawl surface (api, crawler), the §4 analyses (analysis, graph,
-// stats, detect), and the end-to-end study driver (core).
+// HTTP crawl surface (api, crawler; like streams and friend lists page
+// by cursor only), the §4 analyses (analysis, graph, stats, detect), and
+// the end-to-end study driver (core).
 //
 // The study engine is parallel and deterministic: the world store is
 // lock-striped (socialnet.NewShardedStore), campaigns run concurrently

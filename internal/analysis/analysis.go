@@ -80,34 +80,6 @@ func geoRowFrom(id string, counts map[string]float64, total int) GeoRow {
 	return GeoRow{CampaignID: id, Percent: pct, Total: total}
 }
 
-// LocationBreakdown computes Figure 1: per campaign, the percentage of
-// likers per country, with non-study countries folded into "Other".
-func LocationBreakdown(st *socialnet.Store, campaigns []Campaign) ([]GeoRow, error) {
-	known := knownCountries()
-	var out []GeoRow
-	for _, c := range campaigns {
-		if !c.Active {
-			continue
-		}
-		counts := make(map[string]float64)
-		total := 0
-		for _, uid := range c.Likers {
-			u, err := st.User(uid)
-			if err != nil {
-				return nil, fmt.Errorf("analysis: geolocation: %w", err)
-			}
-			label := u.Country
-			if !known[label] {
-				label = socialnet.CountryOther
-			}
-			counts[label]++
-			total++
-		}
-		out = append(out, geoRowFrom(c.ID, counts, total))
-	}
-	return out, nil
-}
-
 // DemoRow is one campaign's Table 2 row.
 type DemoRow struct {
 	CampaignID string
@@ -122,8 +94,8 @@ type DemoRow struct {
 }
 
 // demoTally accumulates one campaign's gender/age counts; demoRowFrom
-// turns the tally into a Table 2 row. Shared between the batch scan and
-// the streaming aggregator.
+// turns the tally into a Table 2 row. Shared between the journal and
+// crawl aggregators.
 type demoTally struct {
 	ageCounts [6]float64
 	nf, nm, n int
@@ -163,30 +135,6 @@ func demoRowFrom(id string, t demoTally) (DemoRow, error) {
 		row.KL = kl
 	}
 	return row, nil
-}
-
-// Demographics computes Table 2 for the active campaigns.
-func Demographics(st *socialnet.Store, campaigns []Campaign) ([]DemoRow, error) {
-	var out []DemoRow
-	for _, c := range campaigns {
-		if !c.Active {
-			continue
-		}
-		var tally demoTally
-		for _, uid := range c.Likers {
-			u, err := st.User(uid)
-			if err != nil {
-				return nil, fmt.Errorf("analysis: demographics: %w", err)
-			}
-			tally.observe(u)
-		}
-		row, err := demoRowFrom(c.ID, tally)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, row)
-	}
-	return out, nil
 }
 
 // GlobalDemoRow returns the reference row (last row of Table 2).

@@ -50,12 +50,20 @@ func buildWorld(t *testing.T) (*socialnet.Store, []Campaign) {
 	}
 }
 
-func TestLocationBreakdown(t *testing.T) {
-	st, camps := buildWorld(t)
-	rows, err := LocationBreakdown(st, camps)
-	if err != nil {
+// consumeJournal folds the store's study-relevant journal events into
+// one aggregator and finalizes it.
+func consumeJournal(t *testing.T, st *socialnet.Store, camps []Campaign, baseline []socialnet.UserID, agg Aggregator) {
+	t.Helper()
+	if err := Consume(RelevantEvents(st.Journal(), camps, baseline, 1), agg); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func TestGeoAggregatorBreakdown(t *testing.T) {
+	st, camps := buildWorld(t)
+	geo := NewGeoAggregator(st, camps)
+	consumeJournal(t, st, camps, nil, geo)
+	rows := geo.Rows()
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d (inactive should be skipped)", len(rows))
 	}
@@ -75,10 +83,10 @@ func TestLocationFoldsUnknownIntoOther(t *testing.T) {
 	p, _ := st.AddPage(socialnet.Page{Name: "X", Honeypot: true})
 	u := st.AddUser(socialnet.User{Country: "Narnia"})
 	_ = st.AddLike(u, p, t0)
-	rows, err := LocationBreakdown(st, []Campaign{{ID: "X", Provider: "P", Page: p, Likers: []socialnet.UserID{u}, Active: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	camps := []Campaign{{ID: "X", Provider: "P", Page: p, Likers: []socialnet.UserID{u}, Active: true}}
+	geo := NewGeoAggregator(st, camps)
+	consumeJournal(t, st, camps, nil, geo)
+	rows := geo.Rows()
 	if rows[0].Percent[socialnet.CountryOther] != 100 {
 		t.Fatalf("other pct = %v", rows[0].Percent)
 	}
@@ -86,10 +94,9 @@ func TestLocationFoldsUnknownIntoOther(t *testing.T) {
 
 func TestDemographics(t *testing.T) {
 	st, camps := buildWorld(t)
-	rows, err := Demographics(st, camps)
-	if err != nil {
-		t.Fatal(err)
-	}
+	demo := NewDemoAggregator(st, camps)
+	consumeJournal(t, st, camps, nil, demo)
+	rows := demo.Rows()
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -265,7 +272,7 @@ func TestLikerGraphsAndCensus(t *testing.T) {
 	}
 }
 
-func TestPageLikeCDFs(t *testing.T) {
+func TestPageLikeCDFAggregator(t *testing.T) {
 	st := socialnet.NewStore()
 	hp, _ := st.AddPage(socialnet.Page{Name: "hp", Honeypot: true})
 	// 10 likers with like-counts 1..10 (plus the honeypot like itself).
@@ -287,10 +294,9 @@ func TestPageLikeCDFs(t *testing.T) {
 		baseline = append(baseline, u)
 	}
 	camps := []Campaign{{ID: "X", Provider: "P", Page: hp, Likers: likers, Active: true}}
-	cdfs, err := PageLikeCDFs(st, camps, baseline)
-	if err != nil {
-		t.Fatal(err)
-	}
+	agg := NewPageLikeCDFAggregator(camps, baseline)
+	consumeJournal(t, st, camps, baseline, agg)
+	cdfs := agg.Rows()
 	if len(cdfs) != 2 {
 		t.Fatalf("cdfs = %d", len(cdfs))
 	}
@@ -338,7 +344,7 @@ func TestBaselineSample(t *testing.T) {
 	}
 }
 
-func TestJaccardMatrices(t *testing.T) {
+func TestJaccardAggregatorMatrices(t *testing.T) {
 	st := socialnet.NewStore()
 	hp1, _ := st.AddPage(socialnet.Page{Name: "hp1", Honeypot: true})
 	hp2, _ := st.AddPage(socialnet.Page{Name: "hp2", Honeypot: true})
@@ -361,10 +367,9 @@ func TestJaccardMatrices(t *testing.T) {
 		{ID: "C2", Provider: "P", Page: hp2, Likers: []socialnet.UserID{u2}, Active: true},
 		{ID: "C3", Provider: "P", Page: hp2, Active: false},
 	}
-	pageSim, userSim, err := JaccardMatrices(st, camps)
-	if err != nil {
-		t.Fatal(err)
-	}
+	jac := NewJaccardAggregator(camps)
+	consumeJournal(t, st, camps, nil, jac)
+	pageSim, userSim := jac.Matrices()
 	// Page sets: {shared, only1} vs {shared, only2} -> J = 1/3.
 	if math.Abs(pageSim[0][1]-100.0/3) > 0.01 {
 		t.Fatalf("pageSim = %v", pageSim[0][1])

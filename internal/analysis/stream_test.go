@@ -125,27 +125,65 @@ func runStreamPass(t *testing.T, st *socialnet.Store, campaigns []Campaign, base
 	}
 }
 
+// crawlReference folds the store's view of every campaign liker and
+// baseline member, one profile per user, into the crawl-side analyzer
+// — the independent engine the journal aggregators are checked against.
+func crawlReference(t *testing.T, st *socialnet.Store, campaigns []Campaign, baseline []socialnet.UserID) CrawlTables {
+	t.Helper()
+	roster := make([]CrawlCampaign, len(campaigns))
+	var users []socialnet.UserID
+	for i, c := range campaigns {
+		roster[i] = CrawlCampaign{ID: c.ID, Page: c.Page, Active: c.Active}
+		users = append(users, c.Likers...)
+	}
+	an := NewCrawlAnalyzer(roster, baseline)
+	seen := make(map[socialnet.UserID]bool)
+	for _, uid := range append(users, baseline...) {
+		if seen[uid] {
+			continue
+		}
+		seen[uid] = true
+		u, err := st.User(uid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := CrawlProfile{User: uid, Gender: u.Gender, Age: u.Age, Country: u.Country}
+		for _, lk := range st.LikesOfUser(uid) {
+			p.PageLikes = append(p.PageLikes, lk.Page)
+		}
+		for _, agg := range an.Aggregators() {
+			agg.ObserveProfile(p)
+		}
+	}
+	tables, err := an.Tables()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tables
+}
+
 // TestAggregatorsMatchBatchAnalyses is the one-pass engine's anchor:
-// every streaming aggregator must reproduce its batch-scan counterpart
-// exactly on the same store.
+// every journal aggregator must reproduce an independent reference on
+// the same store — the crawl-side family fed the store's profiles for
+// Figures 1, 4, 5 and Table 2, inline store scans for the windows and
+// removed likes.
 func TestAggregatorsMatchBatchAnalyses(t *testing.T) {
 	st := socialnet.NewStore()
 	campaigns, baseline := buildStreamWorld(t, st)
 	got := runStreamPass(t, st, campaigns, baseline, 4)
+	want := crawlReference(t, st, campaigns, baseline)
 
-	wantGeo, err := LocationBreakdown(st, campaigns)
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(got.Geo, want.Geo) {
+		t.Fatalf("Geo diverges:\n got %+v\nwant %+v", got.Geo, want.Geo)
 	}
-	if !reflect.DeepEqual(got.Geo, wantGeo) {
-		t.Fatalf("Geo diverges:\n got %+v\nwant %+v", got.Geo, wantGeo)
+	if !reflect.DeepEqual(got.Demo, want.Demo) {
+		t.Fatalf("Demo diverges:\n got %+v\nwant %+v", got.Demo, want.Demo)
 	}
-	wantDemo, err := Demographics(st, campaigns)
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(got.CDFs, want.CDFs) {
+		t.Fatalf("CDFs diverge:\n got %+v\nwant %+v", got.CDFs, want.CDFs)
 	}
-	if !reflect.DeepEqual(got.Demo, wantDemo) {
-		t.Fatalf("Demo diverges:\n got %+v\nwant %+v", got.Demo, wantDemo)
+	if !reflect.DeepEqual(got.PageSim, want.PageSim) || !reflect.DeepEqual(got.UserSim, want.UserSim) {
+		t.Fatal("Jaccard matrices diverge")
 	}
 	for i, c := range campaigns {
 		likes := st.LikesOfPage(c.Page)
@@ -160,20 +198,6 @@ func TestAggregatorsMatchBatchAnalyses(t *testing.T) {
 		if !reflect.DeepEqual(got.Windows[i], want) {
 			t.Fatalf("Windows[%d] = %+v, want %+v", i, got.Windows[i], want)
 		}
-	}
-	wantCDFs, err := PageLikeCDFs(st, campaigns, baseline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.CDFs, wantCDFs) {
-		t.Fatalf("CDFs diverge:\n got %+v\nwant %+v", got.CDFs, wantCDFs)
-	}
-	wantPage, wantUser, err := JaccardMatrices(st, campaigns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.PageSim, wantPage) || !reflect.DeepEqual(got.UserSim, wantUser) {
-		t.Fatal("Jaccard matrices diverge")
 	}
 	for _, c := range campaigns {
 		want := st.LikeCountOfPage(c.Page) - st.ActiveLikeCountOfPage(c.Page)

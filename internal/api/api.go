@@ -5,6 +5,11 @@
 // searchable directory, and the page-admin aggregate report (gated by an
 // admin token, as the real report tool was gated by page ownership).
 //
+// The like streams and friend lists page by cursor only (cursor=,
+// default 0, resumed from each response's next_cursor), which stays
+// exactly-once under live writes; offset= on those routes is a 400.
+// The directory, which has no cursor mode, pages by offset=.
+//
 // The same admin token gates the platform's internal enforcement view —
 // the §5 fraud detector's live verdicts, backed by a
 // detect.StreamScorer attached via SetFraudScorer (503 until then):
@@ -165,17 +170,11 @@ type LikeDoc struct {
 
 // PageLikesDoc is a page's like stream (paginated).
 //
-// Two paging modes exist. Offset mode (`offset=`) windows the
-// time-sorted view; it is only stable over a quiescent page — a like
-// landing mid-crawl with an earlier timestamp shifts every later
-// offset, duplicating or dropping likers — so it is documented as
-// snapshot-only. Cursor mode (`cursor=`) windows the append-only
-// stream: Cursor echoes the request and NextCursor resumes after the
-// last returned event, exactly once per event even under live writes.
-// Offset-mode responses carry Cursor = NextCursor = -1.
+// `cursor=` (default 0) windows the append-only stream: Cursor echoes
+// the request and NextCursor resumes after the last returned event,
+// exactly once per event even under live writes.
 type PageLikesDoc struct {
 	Total      int       `json:"total"`
-	Offset     int       `json:"offset"`
 	Cursor     int       `json:"cursor"`
 	NextCursor int       `json:"next_cursor"`
 	Likes      []LikeDoc `json:"likes"`
@@ -196,16 +195,13 @@ type UserDoc struct {
 
 // UserFriendsDoc is a (public) friend list page.
 //
-// Cursor mode (`cursor=`) is keyset pagination over the ID-sorted
-// list: Cursor echoes the request (the smallest friend ID the window
-// may contain) and NextCursor resumes after the last returned friend —
+// `cursor=` (default 0) is keyset pagination over the ID-sorted list:
+// Cursor echoes the request (the smallest friend ID the window may
+// contain) and NextCursor resumes after the last returned friend —
 // entries present when pagination began are delivered exactly once
-// even if edges are inserted mid-crawl. Offset mode windows the sorted
-// list positionally and is stable only over a quiescent graph
-// (snapshot-only); offset responses carry Cursor = NextCursor = -1.
+// even if edges are inserted mid-crawl.
 type UserFriendsDoc struct {
 	Total      int     `json:"total"`
-	Offset     int     `json:"offset"`
 	Cursor     int64   `json:"cursor"`
 	NextCursor int64   `json:"next_cursor"`
 	Friends    []int64 `json:"friends"`
@@ -213,14 +209,12 @@ type UserFriendsDoc struct {
 
 // UserLikesDoc is a user's page-like list page.
 //
-// Cursor mode windows the user's append-only like stream exactly like
+// `cursor=` windows the user's append-only like stream exactly like
 // PageLikesDoc windows a page's: NextCursor resumes after the last
 // returned like, and a like (or bulk history import) landing mid-crawl
-// only ever extends the tail. Offset mode windows the time-sorted view
-// and is snapshot-only; offset responses carry Cursor = NextCursor = -1.
+// only ever extends the tail.
 type UserLikesDoc struct {
 	Total      int     `json:"total"`
-	Offset     int     `json:"offset"`
 	Cursor     int     `json:"cursor"`
 	NextCursor int     `json:"next_cursor"`
 	Pages      []int64 `json:"pages"`
@@ -286,6 +280,29 @@ func limitParam(r *http.Request) (int, error) {
 	return limit, nil
 }
 
+// cursorParams parses the paging of the cursor routes (page likes,
+// user likes, user friends): cursor= (default 0) and limit=. offset=
+// is rejected rather than ignored — an old offset client would
+// otherwise get the same first window forever.
+func cursorParams(r *http.Request) (cursor int64, limit int, err error) {
+	q := r.URL.Query()
+	if q.Has("offset") {
+		return 0, 0, errors.New("offset paging is not supported: page with cursor= and next_cursor")
+	}
+	if v := q.Get("cursor"); v != "" {
+		cursor, err = strconv.ParseInt(v, 10, 64)
+		if err != nil || cursor < 0 {
+			return 0, 0, errors.New("bad cursor")
+		}
+	}
+	limit, err = limitParam(r)
+	if err != nil {
+		return 0, 0, err
+	}
+	return cursor, limit, nil
+}
+
+// paging parses the directory's offset= and limit=.
 func paging(r *http.Request) (offset, limit int, err error) {
 	if v := r.URL.Query().Get("offset"); v != "" {
 		offset, err = strconv.Atoi(v)
@@ -339,43 +356,19 @@ func (s *Server) handlePageLikes(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no such page")
 		return
 	}
-	q := r.URL.Query()
-	if v := q.Get("cursor"); v != "" {
-		if q.Get("offset") != "" {
-			writeError(w, http.StatusBadRequest, "cursor and offset are mutually exclusive")
-			return
-		}
-		cursor, err := strconv.Atoi(v)
-		if err != nil || cursor < 0 {
-			writeError(w, http.StatusBadRequest, "bad cursor")
-			return
-		}
-		limit, err := limitParam(r)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		evs, next := s.store.PageEventsPage(socialnet.PageID(id), cursor, limit)
-		doc := PageLikesDoc{
-			Total:  s.store.LikeCountOfPage(socialnet.PageID(id)),
-			Offset: -1, Cursor: cursor, NextCursor: next,
-			Likes: make([]LikeDoc, 0, len(evs)),
-		}
-		for _, ev := range evs {
-			doc.Likes = append(doc.Likes, LikeDoc{User: int64(ev.User), At: ev.At.Format(time.RFC3339Nano)})
-		}
-		writeJSON(w, http.StatusOK, doc)
-		return
-	}
-	offset, limit, err := paging(r)
+	cursor, limit, err := cursorParams(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	likes := s.store.LikesOfPage(socialnet.PageID(id))
-	doc := PageLikesDoc{Total: len(likes), Offset: offset, Cursor: -1, NextCursor: -1, Likes: []LikeDoc{}}
-	for _, lk := range window(likes, offset, limit) {
-		doc.Likes = append(doc.Likes, LikeDoc{User: int64(lk.User), At: lk.At.Format(time.RFC3339Nano)})
+	evs, next := s.store.PageEventsPage(socialnet.PageID(id), int(cursor), limit)
+	doc := PageLikesDoc{
+		Total:  s.store.LikeCountOfPage(socialnet.PageID(id)),
+		Cursor: int(cursor), NextCursor: next,
+		Likes: make([]LikeDoc, 0, len(evs)),
+	}
+	for _, ev := range evs {
+		doc.Likes = append(doc.Likes, LikeDoc{User: int64(ev.User), At: ev.At.Format(time.RFC3339Nano)})
 	}
 	writeJSON(w, http.StatusOK, doc)
 }
@@ -514,42 +507,18 @@ func (s *Server) handleUserFriends(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusForbidden, "friend list is private")
 		return
 	}
-	q := r.URL.Query()
-	if v := q.Get("cursor"); v != "" {
-		if q.Get("offset") != "" {
-			writeError(w, http.StatusBadRequest, "cursor and offset are mutually exclusive")
-			return
-		}
-		cursor, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || cursor < 0 {
-			writeError(w, http.StatusBadRequest, "bad cursor")
-			return
-		}
-		limit, err := limitParam(r)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		friends, next := s.store.FriendsPage(uid, cursor, limit)
-		doc := UserFriendsDoc{
-			Total:  s.store.FriendCount(uid),
-			Offset: -1, Cursor: cursor, NextCursor: next,
-			Friends: make([]int64, 0, len(friends)),
-		}
-		for _, f := range friends {
-			doc.Friends = append(doc.Friends, int64(f))
-		}
-		writeJSON(w, http.StatusOK, doc)
-		return
-	}
-	offset, limit, err := paging(r)
+	cursor, limit, err := cursorParams(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	friends := s.store.FriendsOf(uid)
-	doc := UserFriendsDoc{Total: len(friends), Offset: offset, Cursor: -1, NextCursor: -1, Friends: []int64{}}
-	for _, f := range window(friends, offset, limit) {
+	friends, next := s.store.FriendsPage(uid, cursor, limit)
+	doc := UserFriendsDoc{
+		Total:  s.store.FriendCount(uid),
+		Cursor: cursor, NextCursor: next,
+		Friends: make([]int64, 0, len(friends)),
+	}
+	for _, f := range friends {
 		doc.Friends = append(doc.Friends, int64(f))
 	}
 	writeJSON(w, http.StatusOK, doc)
@@ -566,42 +535,18 @@ func (s *Server) handleUserLikes(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no such user")
 		return
 	}
-	q := r.URL.Query()
-	if v := q.Get("cursor"); v != "" {
-		if q.Get("offset") != "" {
-			writeError(w, http.StatusBadRequest, "cursor and offset are mutually exclusive")
-			return
-		}
-		cursor, err := strconv.Atoi(v)
-		if err != nil || cursor < 0 {
-			writeError(w, http.StatusBadRequest, "bad cursor")
-			return
-		}
-		limit, err := limitParam(r)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		likes, next := s.store.UserLikesPage(uid, cursor, limit)
-		doc := UserLikesDoc{
-			Total:  s.store.LikeCountOfUser(uid),
-			Offset: -1, Cursor: cursor, NextCursor: next,
-			Pages: make([]int64, 0, len(likes)),
-		}
-		for _, lk := range likes {
-			doc.Pages = append(doc.Pages, int64(lk.Page))
-		}
-		writeJSON(w, http.StatusOK, doc)
-		return
-	}
-	offset, limit, err := paging(r)
+	cursor, limit, err := cursorParams(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	likes := s.store.LikesOfUser(uid)
-	doc := UserLikesDoc{Total: len(likes), Offset: offset, Cursor: -1, NextCursor: -1, Pages: []int64{}}
-	for _, lk := range window(likes, offset, limit) {
+	likes, next := s.store.UserLikesPage(uid, int(cursor), limit)
+	doc := UserLikesDoc{
+		Total:  s.store.LikeCountOfUser(uid),
+		Cursor: int(cursor), NextCursor: next,
+		Pages: make([]int64, 0, len(likes)),
+	}
+	for _, lk := range likes {
 		doc.Pages = append(doc.Pages, int64(lk.Page))
 	}
 	writeJSON(w, http.StatusOK, doc)

@@ -79,22 +79,26 @@ func TestPageLikesPagination(t *testing.T) {
 		u := st.AddUser(socialnet.User{Country: "Egypt"})
 		_ = st.AddLike(u, page, t0.Add(time.Duration(i+2)*time.Hour))
 	}
+	// A bare limit= pages from cursor 0.
 	var doc PageLikesDoc
 	code := getJSON(t, fmt.Sprintf("%s/api/page/%d/likes?limit=10", srv.URL, page), &doc)
 	if code != 200 || doc.Total != 27 || len(doc.Likes) != 10 {
 		t.Fatalf("first page: code=%d total=%d likes=%d", code, doc.Total, len(doc.Likes))
 	}
+	if doc.Cursor != 0 || doc.NextCursor != 10 {
+		t.Fatalf("first page cursors = %d/%d, want 0/10", doc.Cursor, doc.NextCursor)
+	}
 	var page2 PageLikesDoc
-	getJSON(t, fmt.Sprintf("%s/api/page/%d/likes?offset=20&limit=10", srv.URL, page), &page2)
+	getJSON(t, fmt.Sprintf("%s/api/page/%d/likes?cursor=20&limit=10", srv.URL, page), &page2)
 	if len(page2.Likes) != 7 {
 		t.Fatalf("last page likes = %d, want 7", len(page2.Likes))
 	}
-	// Likes are time-ordered.
+	// Likes arrived in time order, so the stream window is time-ordered.
 	if doc.Likes[0].At > doc.Likes[9].At {
 		t.Fatal("likes not time-ordered")
 	}
 	if code := getJSON(t, fmt.Sprintf("%s/api/page/%d/likes?offset=-1", srv.URL, page), nil); code != 400 {
-		t.Fatalf("bad offset status = %d", code)
+		t.Fatalf("offset status = %d", code)
 	}
 	if code := getJSON(t, fmt.Sprintf("%s/api/page/%d/likes?limit=0", srv.URL, page), nil); code != 400 {
 		t.Fatalf("bad limit status = %d", code)
@@ -186,6 +190,37 @@ func TestUsersBatch(t *testing.T) {
 	}
 }
 
+// TestOffsetRejectedOnCursorRoutes: the cursor routes answer offset=
+// with a 400 naming cursor= — ignoring it would serve an old offset
+// client the same first window forever. The directory, which has no
+// cursor mode, keeps offset paging.
+func TestOffsetRejectedOnCursorRoutes(t *testing.T) {
+	srv, _, page, pub, _ := testServer(t)
+	for name, url := range map[string]string{
+		"page likes":   fmt.Sprintf("%s/api/page/%d/likes?offset=1", srv.URL, page),
+		"user likes":   fmt.Sprintf("%s/api/user/%d/likes?offset=0&limit=5", srv.URL, pub),
+		"user friends": fmt.Sprintf("%s/api/user/%d/friends?offset=1", srv.URL, pub),
+	} {
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc ErrorDoc
+		err = json.NewDecoder(resp.Body).Decode(&doc)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != 400 || !strings.Contains(doc.Error, "cursor=") {
+			t.Fatalf("%s: status %d error %q, want 400 naming cursor=", name, resp.StatusCode, doc.Error)
+		}
+	}
+	var dir DirectoryDoc
+	if code := getJSON(t, srv.URL+"/api/directory?offset=1&limit=1", &dir); code != 200 || dir.Offset != 1 || len(dir.Users) != 1 {
+		t.Fatalf("directory offset paging: code=%d doc=%+v", code, dir)
+	}
+}
+
 // TestEmptyWindowsAreArrays pins the JSON shape: empty like/friend/page
 // windows serialize as [] rather than null, so typed clients in other
 // languages don't need null guards.
@@ -193,10 +228,10 @@ func TestEmptyWindowsAreArrays(t *testing.T) {
 	srv, st, page, pub, _ := testServer(t)
 	lonely := st.AddUser(socialnet.User{FriendsPublic: true})
 	for name, url := range map[string]string{
-		"likes offset": fmt.Sprintf("%s/api/page/%d/likes?offset=%d", srv.URL, page, 9999),
-		"likes cursor": fmt.Sprintf("%s/api/page/%d/likes?cursor=%d", srv.URL, page, 9999),
-		"friends":      fmt.Sprintf("%s/api/user/%d/friends", srv.URL, lonely),
-		"user likes":   fmt.Sprintf("%s/api/user/%d/likes?offset=%d", srv.URL, pub, 9999),
+		"likes cursor":   fmt.Sprintf("%s/api/page/%d/likes?cursor=%d", srv.URL, page, 9999),
+		"friends":        fmt.Sprintf("%s/api/user/%d/friends", srv.URL, lonely),
+		"friends cursor": fmt.Sprintf("%s/api/user/%d/friends?cursor=%d", srv.URL, pub, 9999),
+		"user likes":     fmt.Sprintf("%s/api/user/%d/likes?cursor=%d", srv.URL, pub, 9999),
 	} {
 		resp, err := http.Get(url)
 		if err != nil {
@@ -381,7 +416,7 @@ func TestUserLikesCursorPaging(t *testing.T) {
 		if code != 200 {
 			t.Fatalf("cursor window: status %d", code)
 		}
-		if doc.Offset != -1 || doc.Cursor != cursor {
+		if doc.Cursor != cursor {
 			t.Fatalf("cursor window echo: %+v", doc)
 		}
 		for _, p := range doc.Pages {
@@ -410,13 +445,13 @@ func TestUserLikesCursorPaging(t *testing.T) {
 			t.Fatalf("page %d delivered %d times, want exactly once", p, n)
 		}
 	}
-	// Offset mode still works and marks itself snapshot-only.
-	var off UserLikesDoc
-	if code := getJSON(t, fmt.Sprintf("%s/api/user/%d/likes?limit=5", srv.URL, pub), &off); code != 200 {
-		t.Fatalf("offset mode: %d", code)
+	// A bare limit= pages from cursor 0.
+	var first UserLikesDoc
+	if code := getJSON(t, fmt.Sprintf("%s/api/user/%d/likes?limit=5", srv.URL, pub), &first); code != 200 {
+		t.Fatalf("bare limit: %d", code)
 	}
-	if off.Cursor != -1 || off.NextCursor != -1 {
-		t.Fatalf("offset mode should carry cursor=-1: %+v", off)
+	if first.Cursor != 0 || first.NextCursor != 5 || len(first.Pages) != 5 {
+		t.Fatalf("bare limit should page from cursor 0: %+v", first)
 	}
 	if code := getJSON(t, fmt.Sprintf("%s/api/user/%d/likes?cursor=0&offset=3", srv.URL, pub), nil); code != 400 {
 		t.Fatal("cursor+offset should be rejected")
@@ -443,7 +478,7 @@ func TestUserFriendsCursorPaging(t *testing.T) {
 		if code != 200 {
 			t.Fatalf("cursor window: status %d", code)
 		}
-		if doc.Offset != -1 || doc.Cursor != cursor || doc.Total != len(want) {
+		if doc.Cursor != cursor || doc.Total != len(want) {
 			t.Fatalf("window doc: %+v", doc)
 		}
 		for _, f := range doc.Friends {

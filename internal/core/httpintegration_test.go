@@ -44,7 +44,12 @@ func TestHTTPCrawlMatchesStoreAnalysis(t *testing.T) {
 	ctx := context.Background()
 
 	target := campaign(t, res2, "SF-ALL")
-	profiles, err := cl.CrawlLikers(ctx, int64(target.Page))
+	var profiles []crawler.LikerProfile
+	pipe := crawler.NewPipeline(cl, crawler.PipelineConfig{}, nil)
+	err = pipe.Crawl(ctx, []int64{int64(target.Page)}, func(_ int64, prof crawler.LikerProfile) error {
+		profiles = append(profiles, prof)
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -472,17 +472,10 @@ func (s *Study) Finalize() (*Results, error) {
 		}
 	}
 
-	// Phase 7 — the §4 analyses. The default engine streams every
-	// aggregator over ONE canonical materialization of the like-event
-	// journal; the legacy engine re-scans the store once per analysis.
-	// Both are bit-identical (TestAnalysisEnginesEquivalent).
+	// Phase 7 — the §4 analyses: every aggregator streams over ONE
+	// canonical materialization of the like-event journal.
 	res.Groups = analysis.AssignGroups(aCampaigns, FarmAuthenticLikes, FarmMammothSocials)
-	if s.cfg.Analyses == AnalysisMultiScan {
-		err = s.runAnalysesMultiScan(res, aCampaigns, baseline, workers)
-	} else {
-		err = s.runAnalysesOnePass(res, aCampaigns, baseline, workers)
-	}
-	if err != nil {
+	if err := s.runAnalyses(res, aCampaigns, baseline, workers); err != nil {
 		return nil, err
 	}
 
@@ -500,15 +493,15 @@ func (s *Study) Finalize() (*Results, error) {
 	return res, nil
 }
 
-// runAnalysesOnePass is the streaming analysis engine: one canonical
-// pass over the journal feeds every like-scan aggregator, while the
-// graph analyses (which read the friendship graph, not like events) run
-// alongside on the same pool. Determinism: the canonical event order is
-// a pure function of the events themselves (socialnet journal
-// contract), each aggregator folds that sequence serially, and tasks
-// write disjoint Results fields — so output is bit-identical for every
-// worker and shard count.
-func (s *Study) runAnalysesOnePass(res *Results, aCampaigns []analysis.Campaign, baseline []socialnet.UserID, workers int) error {
+// runAnalyses is the §4 analysis engine: one canonical pass over the
+// journal feeds every like-scan aggregator, while the graph analyses
+// (which read the friendship graph, not like events) run alongside on
+// the same pool. Determinism: the canonical event order is a pure
+// function of the events themselves (socialnet journal contract), each
+// aggregator folds that sequence serially, and tasks write disjoint
+// Results fields — so output is bit-identical for every worker and
+// shard count.
+func (s *Study) runAnalyses(res *Results, aCampaigns []analysis.Campaign, baseline []socialnet.UserID, workers int) error {
 	geo := analysis.NewGeoAggregator(s.store, aCampaigns)
 	demo := analysis.NewDemoAggregator(s.store, aCampaigns)
 	win := analysis.NewWindowAggregator(aCampaigns)
@@ -545,72 +538,6 @@ func (s *Study) runAnalysesOnePass(res *Results, aCampaigns []analysis.Campaign,
 	res.PageSim, res.UserSim = jac.Matrices()
 	res.RemovedLikes = rem.Removed()
 	return nil
-}
-
-// runAnalysesMultiScan is the legacy analysis engine: one full store
-// scan per analysis. Kept as the byte-identical baseline the one-pass
-// engine is benchmarked and regression-tested against.
-func (s *Study) runAnalysesMultiScan(res *Results, aCampaigns []analysis.Campaign, baseline []socialnet.UserID, workers int) error {
-	res.Windows = make([]analysis.WindowStats, len(aCampaigns))
-	removed := make([]int, len(aCampaigns))
-	err := parallel.ForEach(workers, len(aCampaigns), func(i int) error {
-		c := aCampaigns[i]
-		removed[i] = s.store.LikeCountOfPage(c.Page) - s.store.ActiveLikeCountOfPage(c.Page)
-		likes := s.store.LikesOfPage(c.Page)
-		times := make([]time.Time, len(likes))
-		for j, lk := range likes {
-			times[j] = lk.At
-		}
-		ws, err := analysis.WindowAnalysis(c.ID, times)
-		if err != nil {
-			return err
-		}
-		res.Windows[i] = ws
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	res.RemovedLikes = make(map[string]int, len(aCampaigns))
-	for i, c := range aCampaigns {
-		res.RemovedLikes[c.ID] = removed[i]
-	}
-
-	base := s.store.FriendGraph()
-	return parallel.Tasks(workers,
-		func() error {
-			var err error
-			res.Geo, err = analysis.LocationBreakdown(s.store, aCampaigns)
-			return err
-		},
-		func() error {
-			var err error
-			res.Demo, err = analysis.Demographics(s.store, aCampaigns)
-			return err
-		},
-		func() error {
-			var err error
-			res.Table3, err = analysis.SocialGraphTable(s.store, res.Groups, base)
-			return err
-		},
-		func() error {
-			direct, twoHop := analysis.LikerGraphs(res.Groups, base)
-			res.DirectCensus = analysis.CensusByProvider(res.Groups, direct)
-			res.TwoHopCensus = analysis.CensusByProvider(res.Groups, twoHop)
-			res.CrossEdges = analysis.CrossProviderEdges(res.Groups, direct)
-			return nil
-		},
-		func() error {
-			var err error
-			res.CDFs, err = analysis.PageLikeCDFs(s.store, aCampaigns, baseline)
-			return err
-		},
-		func() error {
-			var err error
-			res.PageSim, res.UserSim, err = analysis.JaccardMatrices(s.store, aCampaigns)
-			return err
-		},
-	)
 }
 
 // runCampaign promotes one campaign on its private clock, monitors the

@@ -76,25 +76,6 @@ func benchClient(tb testing.TB, srv *httptest.Server) *Client {
 	return c
 }
 
-// crawlSerialRoster drains the roster with the one-request-chain
-// client, page after page: the pre-pipeline baseline.
-func crawlSerialRoster(tb testing.TB, srv *httptest.Server, pages []int64) *Client {
-	tb.Helper()
-	c := benchClient(tb, srv)
-	n := 0
-	for _, page := range pages {
-		profiles, err := c.CrawlLikers(context.Background(), page)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		n += len(profiles)
-	}
-	if n != benchProfiles {
-		tb.Fatalf("profiles = %d, want %d", n, benchProfiles)
-	}
-	return c
-}
-
 // crawlEngineRoster drains the roster through the pipeline —
 // page-sequential when sequential is set, the global work queue
 // otherwise — and returns the client for its request counters.
@@ -110,16 +91,6 @@ func crawlEngineRoster(tb testing.TB, srv *httptest.Server, pages []int64, seque
 		tb.Fatalf("profiles = %d, want %d", n, benchProfiles)
 	}
 	return c
-}
-
-// BenchmarkCrawlSerial is the deepest baseline: one request chain per
-// liker, one page at a time. Wall clock scales as requests × latency.
-func BenchmarkCrawlSerial(b *testing.B) {
-	srv, pages := benchMixedWorld(b, benchDelay)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		crawlSerialRoster(b, srv, pages)
-	}
 }
 
 // BenchmarkCrawlPipeline8 is the page-sequential pipeline on the mixed
@@ -193,7 +164,7 @@ type crawlBenchResult struct {
 }
 
 // TestEmitCrawlBenchJSON, gated behind CRAWL_BENCH_JSON=<path>, runs
-// the three crawl engines through testing.Benchmark and writes their
+// the two crawl engines through testing.Benchmark and writes their
 // ns/op plus request/throttle counts as JSON. CI uploads the file as
 // an artifact and gates on the global-queue/pipeline ratio.
 func TestEmitCrawlBenchJSON(t *testing.T) {
@@ -206,9 +177,6 @@ func TestEmitCrawlBenchJSON(t *testing.T) {
 		run  func(tb testing.TB, srv *httptest.Server, pages []int64) *Client
 	}
 	engines := []engine{
-		{"BenchmarkCrawlSerial", func(tb testing.TB, srv *httptest.Server, pages []int64) *Client {
-			return crawlSerialRoster(tb, srv, pages)
-		}},
 		{"BenchmarkCrawlPipeline8", func(tb testing.TB, srv *httptest.Server, pages []int64) *Client {
 			return crawlEngineRoster(tb, srv, pages, true)
 		}},

@@ -471,32 +471,6 @@ func (c *Client) Page(ctx context.Context, id int64) (api.PageDoc, error) {
 	return doc, err
 }
 
-// PageLikes fetches the full like stream of a page by offset paging
-// over the time-sorted view. Offset windows are only stable over a
-// quiescent page — a like landing mid-crawl with an earlier timestamp
-// shifts every later offset, duplicating or dropping likers — so this
-// is a snapshot read; crawls that race live writes use PageLikesSince.
-//
-// Termination is on a short (or empty) window, never on the reported
-// total: the total is a point-in-time value that goes stale the moment
-// the list grows or shrinks, and trusting it can truncate the tail.
-func (c *Client) PageLikes(ctx context.Context, id int64) ([]api.LikeDoc, error) {
-	var out []api.LikeDoc
-	offset := 0
-	for {
-		var doc api.PageLikesDoc
-		path := fmt.Sprintf("/api/page/%d/likes?offset=%d&limit=%d", id, offset, c.cfg.PageSize)
-		if err := c.get(ctx, path, false, &doc); err != nil {
-			return nil, err
-		}
-		out = append(out, doc.Likes...)
-		offset += len(doc.Likes)
-		if len(doc.Likes) < c.cfg.PageSize {
-			return out, nil
-		}
-	}
-}
-
 // PageLikesSince fetches the page's like events appended after cursor
 // (0 = from the beginning; otherwise a value previously returned by
 // this method), following cursor pagination until it reaches the live
@@ -536,13 +510,6 @@ func (c *Client) PageLikesWindow(ctx context.Context, id int64, cursor int) ([]a
 		return nil, cursor, err
 	}
 	return doc.Likes, doc.NextCursor, nil
-}
-
-// User fetches a public profile.
-func (c *Client) User(ctx context.Context, id int64) (api.UserDoc, error) {
-	var doc api.UserDoc
-	err := c.get(ctx, fmt.Sprintf("/api/user/%d", id), false, &doc)
-	return doc, err
 }
 
 // UserFriends fetches the full friend list; ErrPrivate when hidden.
@@ -630,37 +597,4 @@ type LikerProfile struct {
 	Friends       []int64
 	FriendsHidden bool
 	PageLikes     []int64
-}
-
-// CrawlLikers crawls every liker of a page: profile, friend list (noting
-// privacy), and page-like list.
-func (c *Client) CrawlLikers(ctx context.Context, page int64) ([]LikerProfile, error) {
-	likes, err := c.PageLikes(ctx, page)
-	if err != nil {
-		return nil, err
-	}
-	var out []LikerProfile
-	for _, lk := range likes {
-		u, err := c.User(ctx, lk.User)
-		if err != nil {
-			return nil, err
-		}
-		prof := LikerProfile{User: u}
-		friends, err := c.UserFriends(ctx, lk.User)
-		switch {
-		case errors.Is(err, ErrPrivate):
-			prof.FriendsHidden = true
-		case err != nil:
-			return nil, err
-		default:
-			prof.Friends = friends
-		}
-		pages, err := c.UserLikes(ctx, lk.User)
-		if err != nil {
-			return nil, err
-		}
-		prof.PageLikes = pages
-		out = append(out, prof)
-	}
-	return out, nil
 }

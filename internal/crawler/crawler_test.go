@@ -107,13 +107,9 @@ func TestFriendPrivacy(t *testing.T) {
 	}
 }
 
-func TestCrawlLikers(t *testing.T) {
+func TestPipelineCrawlsLikerProfiles(t *testing.T) {
 	srv, _, page, _, _ := testWorld(t)
-	c := newClient(t, srv)
-	profiles, err := c.CrawlLikers(context.Background(), int64(page))
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, _, profiles := collectPipeline(t, srv, []int64{int64(page)}, 1, nil)
 	if len(profiles) != 2 {
 		t.Fatalf("profiles = %d", len(profiles))
 	}

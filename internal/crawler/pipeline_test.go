@@ -58,31 +58,18 @@ func liveWriteWorld(t *testing.T, nLikers, maxInject int) (*httptest.Server, soc
 	}
 }
 
-// TestLiveWritesCursorVsOffset is the acceptance test for the paging
-// bug this PR fixes: likes injected concurrently with the crawl make
-// offset paging return duplicates (every later offset shifts), while
-// cursor paging returns the exact final liker set — no dups, no gaps.
+// TestLiveWritesCursorVsOffset: likes injected concurrently with the
+// crawl would make offset paging duplicate likers (every later offset
+// shifts), so the server refuses offset= on the like stream; cursor
+// paging returns the exact final liker set — no dups, no gaps.
 func TestLiveWritesCursorVsOffset(t *testing.T) {
-	// Offset mode: the time-sorted view shifts under the crawler.
 	srv, page, _ := liveWriteWorld(t, 25, 3)
 	c := newClient(t, srv)
 	c.cfg.PageSize = 10
-	likes, err := c.PageLikes(context.Background(), int64(page))
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := map[int64]int{}
-	for _, lk := range likes {
-		counts[lk.User]++
-	}
-	dup := false
-	for _, n := range counts {
-		if n > 1 {
-			dup = true
-		}
-	}
-	if !dup {
-		t.Fatalf("offset paging under live writes returned no duplicates (%d likes of %d users) — the snapshot-only caveat no longer reproduces", len(likes), len(counts))
+	var doc api.PageLikesDoc
+	err := c.get(context.Background(), fmt.Sprintf("/api/page/%d/likes?offset=10&limit=10", page), false, &doc)
+	if err == nil || !strings.Contains(err.Error(), "status 400") {
+		t.Fatalf("offset paging err = %v, want a 400 rejection", err)
 	}
 
 	// Cursor mode on an identical world: exactly-once delivery.
@@ -189,14 +176,15 @@ func TestRetryAfterHonoredOnce(t *testing.T) {
 func TestStaleTotalDoesNotTruncate(t *testing.T) {
 	const actual = 23
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		offset := 0
-		fmt.Sscanf(r.URL.Query().Get("offset"), "%d", &offset)
+		cursor := 0
+		fmt.Sscanf(r.URL.Query().Get("cursor"), "%d", &cursor)
 		limit := 10
-		end := min(offset+limit, actual)
+		end := min(cursor+limit, actual)
 		var sb strings.Builder
-		sb.WriteString(`{"total":5,"offset":0,"likes":[`) // total is stale
-		for i := offset; i < end; i++ {
-			if i > offset {
+		// total is stale
+		fmt.Fprintf(&sb, `{"total":5,"cursor":%d,"next_cursor":%d,"likes":[`, cursor, max(cursor, end))
+		for i := cursor; i < end; i++ {
+			if i > cursor {
 				sb.WriteString(",")
 			}
 			fmt.Fprintf(&sb, `{"user":%d,"at":"2014-03-12T00:00:00Z"}`, i+1)
@@ -213,7 +201,7 @@ func TestStaleTotalDoesNotTruncate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	likes, err := c.PageLikes(context.Background(), 1)
+	likes, _, err := c.PageLikesSince(context.Background(), 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,8 @@ func TestCrawlerSurvivesThrottledServer(t *testing.T) {
 		u := st.AddUser(socialnet.User{Country: "USA", FriendsPublic: true})
 		_ = st.AddLike(u, page, time.Date(2014, 3, 12, i, 0, 0, 0, time.UTC))
 	}
-	// 300 req/s with burst 3: the ~40-request crawl must hit 429s.
+	// 300 req/s with burst 3: the crawl's burst of requests must hit
+	// 429s.
 	srv := httptest.NewServer(api.Throttle(api.NewServer(st, ""), 300, 3))
 	defer srv.Close()
 
@@ -37,12 +38,16 @@ func TestCrawlerSurvivesThrottledServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	profiles, err := c.CrawlLikers(context.Background(), int64(page))
+	profiles := 0
+	err = NewPipeline(c, PipelineConfig{}, nil).Crawl(context.Background(), []int64{int64(page)}, func(int64, LikerProfile) error {
+		profiles++
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(profiles) != 12 {
-		t.Fatalf("profiles = %d, want 12", len(profiles))
+	if profiles != 12 {
+		t.Fatalf("profiles = %d, want 12", profiles)
 	}
 	if c.Retries() == 0 {
 		t.Fatal("throttled crawl should have retried at least once")

@@ -41,9 +41,9 @@ type manifest struct {
 	// decoupled from Shards: the journal keeps many lock stripes for
 	// in-memory concurrency, while the WAL keeps FEW files so a group
 	// commit coalesces concurrent appends into a handful of fsyncs
-	// instead of one per dirty stripe. Zero means a legacy manifest
-	// written when the counts were fused: fall back to Shards.
-	WALShards int `json:",omitempty"`
+	// instead of one per dirty stripe. A manifest without it predates
+	// the split and is rejected.
+	WALShards int
 	Snapshot  string
 	// Offsets are the per-WAL-file stream offsets captured immediately
 	// BEFORE the snapshot was taken. Invariant: every WAL record below
@@ -55,14 +55,6 @@ type manifest struct {
 	// incremental checkpoint republishes the PREVIOUS offsets untouched
 	// — they still describe what the (unchanged) snapshot covers.
 	Offsets []uint64
-}
-
-// walShardCount is the effective WAL file count for a manifest.
-func (m *manifest) walShardCount() int {
-	if m.WALShards > 0 {
-		return m.WALShards
-	}
-	return m.Shards
 }
 
 // DefaultWALShards is the WAL file count for new durable directories.
@@ -99,10 +91,13 @@ func readManifest(dir string) (*manifest, error) {
 	if m.Version != manifestVersion {
 		return nil, fmt.Errorf("socialnet: manifest version %d, want %d", m.Version, manifestVersion)
 	}
-	if m.Shards < 1 || len(m.Offsets) != m.walShardCount() {
-		return nil, fmt.Errorf("socialnet: manifest shards %d/%d / offsets %d inconsistent", m.Shards, m.walShardCount(), len(m.Offsets))
+	if m.WALShards < 1 {
+		return nil, errors.New("socialnet: manifest has no WAL shard count (a format older than this build reads)")
 	}
-	if w := m.walShardCount(); w&(w-1) != 0 {
+	if m.Shards < 1 || len(m.Offsets) != m.WALShards {
+		return nil, fmt.Errorf("socialnet: manifest shards %d/%d / offsets %d inconsistent", m.Shards, m.WALShards, len(m.Offsets))
+	}
+	if w := m.WALShards; w&(w-1) != 0 {
 		return nil, fmt.Errorf("socialnet: manifest WAL shard count %d not a power of two", w)
 	}
 	return &m, nil
@@ -277,7 +272,7 @@ func (s *Store) Checkpoint(dir string) error {
 			if err := s.wal.Sync(); err != nil {
 				return err
 			}
-			m := manifest{Version: manifestVersion, Seq: seq, Shards: shards, WALShards: old.walShardCount(), Snapshot: old.Snapshot, Offsets: old.Offsets}
+			m := manifest{Version: manifestVersion, Seq: seq, Shards: shards, WALShards: old.WALShards, Snapshot: old.Snapshot, Offsets: old.Offsets}
 			data, err := json.MarshalIndent(&m, "", " ")
 			if err != nil {
 				return err
@@ -408,7 +403,7 @@ func OpenDurable(dir string, opts WALOptions) (*Store, *OpenStats, error) {
 		return nil, nil, fmt.Errorf("socialnet: snapshot rebuilt %d journal shards, manifest says %d", st.journal.NumShards(), m.Shards)
 	}
 
-	wal, recovered, err := openWAL(dir, m.walShardCount(), m.Offsets, opts)
+	wal, recovered, err := openWAL(dir, m.WALShards, m.Offsets, opts)
 	if err != nil {
 		return nil, nil, err
 	}

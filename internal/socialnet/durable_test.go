@@ -1,11 +1,13 @@
 package socialnet
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -515,6 +517,39 @@ func TestTornSegmentCreationIsRepaired(t *testing.T) {
 			t.Fatalf("after repair+append: %d events, want %d", got, likes+1)
 		}
 		re2.Close()
+	}
+}
+
+// TestManifestWithoutWALShardsRejected: a manifest from before the WAL
+// file count was recorded (WALShards absent) fails to open with an
+// error naming the missing count, instead of guessing the chain layout.
+func TestManifestWithoutWALShardsRejected(t *testing.T) {
+	dir := t.TempDir()
+	st, _, _ := durableWorld(t, dir, 2, 2, noSync)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, manifestFile)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := m["WALShards"]; !ok {
+		t.Fatalf("manifest has no WALShards key to remove: %s", data)
+	}
+	delete(m, "WALShards")
+	if data, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := OpenDurable(dir, noSync); err == nil || !strings.Contains(err.Error(), "WAL shard count") {
+		t.Fatalf("open over a manifest without WALShards: err = %v, want a missing-count error", err)
 	}
 }
 

@@ -71,7 +71,7 @@ func (s *Store) ReplManifest() (ReplManifestDoc, error) {
 	return ReplManifestDoc{
 		Seq:             m.Seq,
 		Shards:          m.Shards,
-		WALShards:       m.walShardCount(),
+		WALShards:       m.WALShards,
 		Snapshot:        m.Snapshot,
 		SnapshotOffsets: m.Offsets,
 		Offsets:         s.wal.SyncedOffsets(nil),
@@ -100,9 +100,7 @@ func (s *Store) ReplSnapshot(name string) (io.ReadCloser, error) {
 // ReplSegments returns up to maxBytes of raw framed record bytes from
 // the given WAL shard's chain, starting at stream index from and
 // bounded by the shard's fsynced high-water mark. An empty result means
-// the follower is caught up. Version-1 segments (like-only, no type
-// byte) are re-framed as current-version records on the way out, so
-// followers speak exactly one wire framing.
+// the follower is caught up.
 func (s *Store) ReplSegments(shard int, from uint64, maxBytes int) ([]byte, error) {
 	if s.wal == nil {
 		return nil, errNotDurable
@@ -169,16 +167,12 @@ func (w *DiskWAL) readFrames(shard int, from uint64, maxBytes int) ([]byte, int,
 		if segs[k].start != idx {
 			return nil, 0, fmt.Errorf("%w: shard %d chain jumps from %d to %d", ErrCorruptSegment, shard, idx, segs[k].start)
 		}
-		err := scanSegmentFrames(segs[k].path, func(version uint32, payload, frame []byte) bool {
+		err := scanSegmentFrames(segs[k].path, func(frame []byte) bool {
 			if idx >= synced || len(out) >= maxBytes {
 				return false
 			}
 			if idx >= from {
-				if version == segVersionV1 {
-					out = encodeEvent(out, decodeLikeBody(payload))
-				} else {
-					out = append(out, frame...)
-				}
+				out = append(out, frame...)
 				count++
 			}
 			idx++
@@ -192,12 +186,11 @@ func (w *DiskWAL) readFrames(shard int, from uint64, maxBytes int) ([]byte, int,
 }
 
 // scanSegmentFrames streams the valid frames of one segment file to fn
-// (called with the segment version, the record payload, and the full
-// framed bytes; returning false stops the scan). Like scanSegment, the
+// (called with the full framed bytes; returning false stops the scan). Like scanSegment, the
 // first invalid frame ends the scan silently — the replication reader
 // never advances past the synced horizon, so a torn tail is always
 // beyond what it serves.
-func scanSegmentFrames(path string, fn func(version uint32, payload, frame []byte) bool) error {
+func scanSegmentFrames(path string, fn func(frame []byte) bool) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -207,8 +200,7 @@ func scanSegmentFrames(path string, fn func(version uint32, payload, frame []byt
 	if _, err := io.ReadFull(f, header); err != nil {
 		return fmt.Errorf("%w: %s: unreadable header", ErrCorruptSegment, path)
 	}
-	version, _, _, err := parseSegmentHeader(header)
-	if err != nil {
+	if _, _, err := parseSegmentHeader(header); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
 	br := bufio.NewReaderSize(f, 1<<16)
@@ -220,11 +212,7 @@ func scanSegmentFrames(path string, fn func(version uint32, payload, frame []byt
 			return nil // clean EOF or torn frame
 		}
 		n := binary.LittleEndian.Uint32(head[0:4])
-		if version == segVersionV1 {
-			if n != eventPayloadSize {
-				return nil
-			}
-		} else if n == 0 || n > maxRecordPayload {
+		if n == 0 || n > maxRecordPayload {
 			return nil
 		}
 		frame = append(frame, head[:]...)
@@ -235,11 +223,10 @@ func scanSegmentFrames(path string, fn func(version uint32, payload, frame []byt
 		if _, err := io.ReadFull(br, frame[8:]); err != nil {
 			return nil // torn payload
 		}
-		payload := frame[8:]
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(head[4:8]) {
+		if crc32.ChecksumIEEE(frame[8:]) != binary.LittleEndian.Uint32(head[4:8]) {
 			return nil // corrupt record: torn
 		}
-		if !fn(version, payload, frame) {
+		if !fn(frame) {
 			return nil
 		}
 	}

@@ -361,9 +361,8 @@ func TestRebootstrapFollowerAfterGap(t *testing.T) {
 }
 
 // durableMultiWAL builds a durable store in dir whose WAL runs one
-// segment chain per journal shard — the legacy multi-chain layout (a
-// manifest without WALShards falls back to Shards) — so tests can put
-// a record and the entity it references in DIFFERENT chains.
+// segment chain per journal shard (WALShards = Shards) — so tests can
+// put a record and the entity it references in DIFFERENT chains.
 func durableMultiWAL(t *testing.T, dir string, shards, nUsers int) *Store {
 	t.Helper()
 	st := NewShardedStore(shards)
@@ -381,7 +380,7 @@ func durableMultiWAL(t *testing.T, dir string, shards, nUsers int) *Store {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	m := manifest{Version: manifestVersion, Seq: 1, Shards: shards, Snapshot: snap, Offsets: make([]uint64, shards)}
+	m := manifest{Version: manifestVersion, Seq: 1, Shards: shards, WALShards: shards, Snapshot: snap, Offsets: make([]uint64, shards)}
 	data, err := json.MarshalIndent(&m, "", " ")
 	if err != nil {
 		t.Fatal(err)

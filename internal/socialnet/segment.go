@@ -31,18 +31,16 @@ import (
 // a single record, and a torn tail (a crash mid-write) costs at most
 // the unsynced suffix.
 //
-// Version 2 introduced typed records: alongside like events (recLike,
-// the only record version 1 knew, framed without a type byte), the WAL
-// journals world mutations — user and page creations, friendship
-// edges, account-status and visibility updates — so a checkpoint can
-// persist only the delta since the previous snapshot instead of a full
-// world snapshot. Version-1 segments are still read (their records are
-// all likes), but never appended to: a chain ending in a v1 segment
-// continues in a fresh v2 segment.
+// Records are typed: alongside like events (recLike), the WAL journals
+// world mutations — user and page creations, friendship edges,
+// account-status and visibility updates — so a checkpoint can persist
+// only the delta since the previous snapshot instead of a full world
+// snapshot. Version 2 is the only format read or written; a segment
+// with the magic but any other version (the like-only version 1
+// included) fails to open with ErrCorruptSegment and stays on disk.
 const (
-	segMagic     = "LIKESEG1"
-	segVersion   = 2
-	segVersionV1 = 1
+	segMagic   = "LIKESEG1"
+	segVersion = 2
 
 	segHeaderSize    = 8 + 4 + 4 + 8
 	eventPayloadSize = 8 + 8 + 8 + 1
@@ -359,23 +357,20 @@ func segmentHeader(shard int, start uint64) []byte {
 	return buf
 }
 
-// parseSegmentHeader validates the header and returns
-// (version, shard, start). Both the current version and v1 (like-only
-// records, no type byte) are accepted.
-func parseSegmentHeader(buf []byte) (uint32, int, uint64, error) {
+// parseSegmentHeader validates the header and returns (shard, start).
+func parseSegmentHeader(buf []byte) (int, uint64, error) {
 	if len(buf) < segHeaderSize {
-		return 0, 0, 0, fmt.Errorf("%w: short header (%d bytes)", ErrCorruptSegment, len(buf))
+		return 0, 0, fmt.Errorf("%w: short header (%d bytes)", ErrCorruptSegment, len(buf))
 	}
 	if string(buf[0:8]) != segMagic {
-		return 0, 0, 0, fmt.Errorf("%w: bad magic", ErrCorruptSegment)
+		return 0, 0, fmt.Errorf("%w: bad magic", ErrCorruptSegment)
 	}
-	v := binary.LittleEndian.Uint32(buf[8:12])
-	if v != segVersion && v != segVersionV1 {
-		return 0, 0, 0, fmt.Errorf("%w: version %d, want %d or %d", ErrCorruptSegment, v, segVersionV1, segVersion)
+	if v := binary.LittleEndian.Uint32(buf[8:12]); v != segVersion {
+		return 0, 0, fmt.Errorf("%w: unsupported segment version %d, want %d", ErrCorruptSegment, v, segVersion)
 	}
 	shard := int(binary.LittleEndian.Uint32(buf[12:16]))
 	start := binary.LittleEndian.Uint64(buf[16:24])
-	return v, shard, start, nil
+	return shard, start, nil
 }
 
 // scanSegment reads every valid record from an open segment file and
@@ -385,51 +380,42 @@ func parseSegmentHeader(buf []byte) (uint32, int, uint64, error) {
 // trusted, everything from it on is the torn tail. The caller decides
 // whether a tail is repairable (last segment of a shard) or fatal (an
 // interior segment).
-func scanSegment(f *os.File) (records []walRecord, validSize int64, version uint32, shard int, start uint64, err error) {
+func scanSegment(f *os.File) (records []walRecord, validSize int64, shard int, start uint64, err error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, 0, 0, 0, 0, err
+		return nil, 0, 0, 0, err
 	}
 	header := make([]byte, segHeaderSize)
 	if _, err := io.ReadFull(f, header); err != nil {
-		return nil, 0, 0, 0, 0, fmt.Errorf("%w: %s: unreadable header", ErrCorruptSegment, f.Name())
+		return nil, 0, 0, 0, fmt.Errorf("%w: %s: unreadable header", ErrCorruptSegment, f.Name())
 	}
-	version, shard, start, err = parseSegmentHeader(header)
+	shard, start, err = parseSegmentHeader(header)
 	if err != nil {
-		return nil, 0, 0, 0, 0, fmt.Errorf("%s: %w", f.Name(), err)
+		return nil, 0, 0, 0, fmt.Errorf("%s: %w", f.Name(), err)
 	}
 	validSize = segHeaderSize
 	var frame [8]byte
 	payload := make([]byte, 0, 256)
 	for {
 		if _, err := io.ReadFull(f, frame[:]); err != nil {
-			return records, validSize, version, shard, start, nil // clean EOF or torn frame
+			return records, validSize, shard, start, nil // clean EOF or torn frame
 		}
 		n := binary.LittleEndian.Uint32(frame[0:4])
-		if version == segVersionV1 {
-			if n != eventPayloadSize {
-				return records, validSize, version, shard, start, nil // garbage length: torn
-			}
-		} else if n == 0 || n > maxRecordPayload {
-			return records, validSize, version, shard, start, nil // garbage length: torn
+		if n == 0 || n > maxRecordPayload {
+			return records, validSize, shard, start, nil // garbage length: torn
 		}
 		if cap(payload) < int(n) {
 			payload = make([]byte, 0, n)
 		}
 		payload = payload[:n]
 		if _, err := io.ReadFull(f, payload); err != nil {
-			return records, validSize, version, shard, start, nil // torn payload
+			return records, validSize, shard, start, nil // torn payload
 		}
 		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(frame[4:8]) {
-			return records, validSize, version, shard, start, nil // corrupt record: torn
+			return records, validSize, shard, start, nil // corrupt record: torn
 		}
-		var rec walRecord
-		if version == segVersionV1 {
-			rec = walRecord{like: true, ev: decodeLikeBody(payload)}
-		} else {
-			var ok bool
-			if rec, ok = decodeRecord(payload); !ok {
-				return records, validSize, version, shard, start, nil // undecodable record: torn
-			}
+		rec, ok := decodeRecord(payload)
+		if !ok {
+			return records, validSize, shard, start, nil // undecodable record: torn
 		}
 		records = append(records, rec)
 		validSize += int64(8 + n)
@@ -437,9 +423,12 @@ func scanSegment(f *os.File) (records []walRecord, validSize int64, version uint
 }
 
 // segmentHeaderReadable reports whether the file begins with a valid
-// segment header. It distinguishes a torn segment creation (header
-// never reached the disk — repairable by dropping the file) from a
-// readable segment whose body may still need tail repair.
+// segment header. It distinguishes a torn segment creation (a short
+// header or a wrong magic: the header never reached the disk —
+// repairable by dropping the file) from a readable segment whose body
+// may still need tail repair. A complete header with the segment magic
+// but a version this build does not read is no crash artifact: it is
+// an error, and the file is left in place.
 func segmentHeaderReadable(path string) (bool, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -450,8 +439,11 @@ func segmentHeaderReadable(path string) (bool, error) {
 	if _, err := io.ReadFull(f, header); err != nil {
 		return false, nil // short file: header never landed
 	}
-	if _, _, _, err := parseSegmentHeader(header); err != nil {
+	if string(header[0:8]) != segMagic {
 		return false, nil // garbage header: same crash window
+	}
+	if _, _, err := parseSegmentHeader(header); err != nil {
+		return false, fmt.Errorf("%s: %w", path, err)
 	}
 	return true, nil
 }

@@ -137,9 +137,7 @@ type walRecovery struct {
 // truncating to the last valid record. An interior segment that fails
 // validation is a hard error — rotation never leaves a torn interior
 // segment behind, so one means external damage the WAL must not
-// silently paper over. A shard whose chain ends in a version-1 segment
-// resumes appending in a fresh current-version segment: record
-// framings never mix within one file.
+// silently paper over.
 func openWAL(dir string, nShards int, base []uint64, opts WALOptions) (*DiskWAL, []walRecovery, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -188,7 +186,7 @@ func openWAL(dir string, nShards int, base []uint64, opts WALOptions) (*DiskWAL,
 			if err != nil {
 				return nil, nil, err
 			}
-			records, validSize, version, shard, start, err := scanSegment(f)
+			records, validSize, shard, start, err := scanSegment(f)
 			if err != nil {
 				f.Close()
 				return nil, nil, err
@@ -243,7 +241,7 @@ func openWAL(dir string, nShards int, base []uint64, opts WALOptions) (*DiskWAL,
 				recovered[i].Records = append(recovered[i].Records, records[skip:]...)
 			}
 			sh.next = end
-			if last && version == segVersion {
+			if last {
 				// Position the write offset at the valid end: the scan (and
 				// a torn-tail truncation) can leave it elsewhere, and a
 				// write at the wrong offset would corrupt the chain.
@@ -256,9 +254,6 @@ func openWAL(dir string, nShards int, base []uint64, opts WALOptions) (*DiskWAL,
 				sh.segStart = start
 				sh.segSize = validSize
 			} else {
-				// Interior segment, or a last segment in the old framing:
-				// leave sh.f nil so the first append rotates into a fresh
-				// current-version segment at sh.next.
 				f.Close()
 			}
 		}

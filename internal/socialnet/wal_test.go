@@ -1,10 +1,13 @@
 package socialnet
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -266,72 +269,68 @@ func TestGroupCommitDurableWithoutSync(t *testing.T) {
 	}
 }
 
-// TestReadsV1Segments: a chain written in the version-1 framing (fixed
-// like records, no type byte) must still recover, and new appends must
-// rotate into a fresh current-version segment rather than mixing
-// framings inside the v1 file.
-func TestReadsV1Segments(t *testing.T) {
-	dir := t.TempDir()
-	evs := []LikeEvent{
-		{At: at(1), User: 1, Page: 2, Source: SourceLike},
-		{At: at(2), User: 3, Page: 4, Source: SourceHistory},
-	}
+// writeRawSegment writes a shard-0 segment file starting at stream
+// index 0 with the given header version and pre-built record payloads,
+// framed with length and CRC — how segments of other format versions
+// look on disk. It returns the file path and bytes.
+func writeRawSegment(t *testing.T, dir string, version uint32, payloads ...[]byte) (string, []byte) {
+	t.Helper()
 	buf := make([]byte, segHeaderSize)
 	copy(buf[0:8], segMagic)
-	binary.LittleEndian.PutUint32(buf[8:12], segVersionV1)
-	binary.LittleEndian.PutUint32(buf[12:16], 0)
-	binary.LittleEndian.PutUint64(buf[16:24], 0)
-	for _, ev := range evs {
-		payload := make([]byte, eventPayloadSize)
-		binary.LittleEndian.PutUint64(payload[0:8], uint64(ev.At.UnixNano()))
-		binary.LittleEndian.PutUint64(payload[8:16], uint64(ev.User))
-		binary.LittleEndian.PutUint64(payload[16:24], uint64(ev.Page))
-		payload[24] = byte(ev.Source)
+	binary.LittleEndian.PutUint32(buf[8:12], version)
+	for _, payload := range payloads {
 		var frame [8]byte
-		binary.LittleEndian.PutUint32(frame[0:4], eventPayloadSize)
+		binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 		binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
 		buf = append(buf, frame[:]...)
 		buf = append(buf, payload...)
 	}
-	if err := os.WriteFile(filepath.Join(dir, segmentFileName(0, 0)), buf, 0o644); err != nil {
+	path := filepath.Join(dir, segmentFileName(0, 0))
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return path, buf
+}
 
-	w, recovered, err := openWAL(dir, 1, []uint64{0}, noThreshold)
+// requireOpenRejects asserts that opening dir's WAL fails with
+// ErrCorruptSegment naming want, and that the segment at path is left
+// on disk byte for byte.
+func requireOpenRejects(t *testing.T, dir, path string, content []byte, want string) {
+	t.Helper()
+	w, _, err := openWAL(dir, 1, []uint64{0}, noThreshold)
+	if err == nil {
+		w.Close()
+		t.Fatal("open succeeded over a segment of an unsupported version")
+	}
+	if !errors.Is(err, ErrCorruptSegment) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("open error = %v, want ErrCorruptSegment naming %q", err, want)
+	}
+	got, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("segment removed by a failed open: %v", err)
 	}
-	if got := len(recovered[0].Records); got != 2 {
-		t.Fatalf("recovered %d records from v1 segment, want 2", got)
+	if !bytes.Equal(got, content) {
+		t.Fatal("segment rewritten by a failed open")
 	}
-	for i, r := range recovered[0].Records {
-		if !r.like || !r.ev.At.Equal(evs[i].At) || r.ev.User != evs[i].User || r.ev.Page != evs[i].Page || r.ev.Source != evs[i].Source {
-			t.Fatalf("record %d = %+v, want %+v", i, r.ev, evs[i])
-		}
-	}
-	w.Append(0, LikeEvent{At: at(3), User: 5, Page: 6, Source: SourceLike})
-	if err := w.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	segs, err := listSegments(dir, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs[0]) != 2 {
-		t.Fatalf("append after a v1 tail left %d segments, want a fresh v2 segment (2 total)", len(segs[0]))
-	}
-	if segs[0][1].start != 2 {
-		t.Fatalf("fresh segment starts at %d, want 2 (contiguous with the v1 chain)", segs[0][1].start)
-	}
-	w2, recovered2, err := openWAL(dir, 1, []uint64{0}, noThreshold)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w2.Close()
-	if got := len(recovered2[0].Records); got != 3 {
-		t.Fatalf("mixed-version chain recovered %d records, want 3", got)
-	}
+}
+
+// TestUnknownSegmentVersionIsKept: a complete header with the segment
+// magic but a version this build does not read is not a torn segment
+// creation. Open must fail naming the version and leave the file —
+// dropping it would silently discard every record it holds.
+func TestUnknownSegmentVersionIsKept(t *testing.T) {
+	dir := t.TempDir()
+	payload := encodeEvent(nil, walEv(0))[8:]
+	path, content := writeRawSegment(t, dir, 3, payload)
+	requireOpenRejects(t, dir, path, content, "version 3")
+}
+
+// TestRejectsV1Segments: a chain in the retired version-1 framing
+// (fixed like records, no type byte) fails to open with an error
+// naming the version, and stays on disk.
+func TestRejectsV1Segments(t *testing.T) {
+	dir := t.TempDir()
+	payload := appendLikeBody(nil, walEv(0))
+	path, content := writeRawSegment(t, dir, 1, payload, payload)
+	requireOpenRejects(t, dir, path, content, "version 1")
 }
